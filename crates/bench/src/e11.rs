@@ -155,6 +155,13 @@ pub struct E11Report {
     /// Distinct baseline cells (crowded) or `(cell, hour)` day-histogram
     /// entries (traffic) touched across all window folds.
     pub baseline_cells_updated: usize,
+    /// Mean records fed to the pool's strategies per window, over the
+    /// first third of the steady windows (every window after the first).
+    pub records_anonymized_first_third: f64,
+    /// The same mean over the last third of the steady windows — with
+    /// participation held fixed it must stay near the first third's: a
+    /// window anonymizes its own records, not its users' histories.
+    pub records_anonymized_last_third: f64,
 }
 
 impl E11Report {
@@ -193,7 +200,9 @@ impl E11Report {
              \"strategy_shard_reuses\": {},\n  \"strategy_shard_refreshes\": {},\n  \
              \"strategy_grid_rebuilds\": {},\n  \"strategy_full_fallbacks\": {},\n  \
              \"baseline_reuses\": {},\n  \"baseline_rebuilds\": {},\n  \
-             \"baseline_cells_updated\": {}\n}}\n",
+             \"baseline_cells_updated\": {},\n  \
+             \"records_anonymized_first_third\": {:.1},\n  \
+             \"records_anonymized_last_third\": {:.1}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -226,6 +235,8 @@ impl E11Report {
             self.baseline_reuses,
             self.baseline_rebuilds,
             self.baseline_cells_updated,
+            self.records_anonymized_first_third,
+            self.records_anonymized_last_third,
         )
     }
 }
@@ -319,10 +330,15 @@ impl fmt::Display for E11Report {
             self.strategy_grid_rebuilds,
             self.strategy_full_fallbacks
         )?;
-        write!(
+        writeln!(
             f,
             "baselines: {} folded in place ({} cells touched), {} full rebuilds",
             self.baseline_reuses, self.baseline_cells_updated, self.baseline_rebuilds
+        )?;
+        write!(
+            f,
+            "records anonymized per steady window: first third {:.1}, last third {:.1}",
+            self.records_anonymized_first_third, self.records_anonymized_last_third
         )
     }
 }
@@ -376,6 +392,7 @@ pub fn run(config: &E11Config) -> E11Report {
     let mut baseline_rebuilds = 0;
     let mut baseline_cells_updated = 0;
     let mut strategy_totals = privapi::streaming::StrategyCacheDelta::default();
+    let mut records_anonymized: Vec<f64> = Vec::with_capacity(windows.len());
     for (i, window) in windows.iter().enumerate() {
         let before = probe.extractions();
         let start = Instant::now();
@@ -418,7 +435,17 @@ pub fn run(config: &E11Config) -> E11Report {
         strategy_totals.shards_refreshed += release.strategies.shards_refreshed;
         strategy_totals.protected_grid_rebuilds += release.strategies.protected_grid_rebuilds;
         strategy_totals.full_fallbacks += release.strategies.full_fallbacks;
+        if i > 0 {
+            records_anonymized.push(release.strategies.records_anonymized as f64);
+        }
     }
+    let third = (records_anonymized.len() / 3)
+        .max(1)
+        .min(records_anonymized.len());
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
+    let records_anonymized_first_third = mean(&records_anonymized[..third]);
+    let records_anonymized_last_third =
+        mean(&records_anonymized[records_anonymized.len() - third..]);
     let incremental_extractions = probe.extractions();
     let incremental_user_extractions = probe.user_extractions();
 
@@ -454,6 +481,8 @@ pub fn run(config: &E11Config) -> E11Report {
         baseline_reuses,
         baseline_rebuilds,
         baseline_cells_updated,
+        records_anonymized_first_third,
+        records_anonymized_last_third,
     }
 }
 
@@ -519,6 +548,8 @@ mod tests {
             "\"baseline_reuses\"",
             "\"baseline_rebuilds\"",
             "\"baseline_cells_updated\"",
+            "\"records_anonymized_first_third\"",
+            "\"records_anonymized_last_third\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -528,6 +559,8 @@ mod tests {
         assert!(text.contains("protected side:"));
         assert!(text.contains("baselines:"));
         assert!(text.contains("last/first-steady ratio"));
+        assert!(text.contains("records anonymized per steady window"));
+        assert!(report.records_anonymized_first_third > 0.0, "{report:?}");
     }
 
     #[test]

@@ -50,8 +50,8 @@
 use geo::{GeoPoint, Meters, PointIndex, UniformGrid};
 use mobility::gen::GroundTruth;
 use mobility::poi::{extract_pois, PoiConfig};
-use mobility::staypoint::{detect_all, StayPointConfig};
-use mobility::{Dataset, UserId};
+use mobility::staypoint::{detect_all, StayPoint, StayPointConfig};
+use mobility::{Dataset, LocationRecord, UserId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -162,6 +162,10 @@ impl DwellField {
 /// One user's slice of the attack: their dwell field and the POIs extracted
 /// from it. Shards are independent — [`PoiAttack::extract`] computes them in
 /// parallel — and are the natural cache unit for streaming per-day releases.
+///
+/// A shard also carries its *fold state* — the last record and the kept
+/// stays — so [`PoiAttack::fold_user`] can extend it with a window's new
+/// trajectories without rescanning the user's history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserAttackShard {
     /// The user this shard belongs to.
@@ -172,6 +176,31 @@ pub struct UserAttackShard {
     pub threshold_s: f64,
     /// POIs extracted for this user (density ∪ stay-point, de-duplicated).
     pub pois: Vec<GeoPoint>,
+    /// The latest record folded so far (time order, last among ties): the
+    /// open end of the dwell chain the next window's first record closes.
+    pub last_record: Option<LocationRecord>,
+    /// Stay points of the user's kept trajectories (those passing the
+    /// speed-CV filter), in arrival order — what the stay clustering is
+    /// recomputed from.
+    pub stays: Vec<StayPoint>,
+}
+
+impl UserAttackShard {
+    /// The shard of a user with no records: the seed every fold starts
+    /// from.
+    pub fn empty(user: UserId) -> Self {
+        Self {
+            user,
+            dwell: DwellField {
+                mass: HashMap::new(),
+                mean_positive: 0.0,
+            },
+            threshold_s: 0.0,
+            pois: Vec::new(),
+            last_record: None,
+            stays: Vec::new(),
+        }
+    }
 }
 
 /// Per-user spatial index over reference POIs, built once per evaluation
@@ -332,7 +361,8 @@ impl PoiAttack {
     }
 
     /// Extracts one user's [`UserAttackShard`] against the shared dataset
-    /// `grid` (see [`PoiAttack::extraction_grid`]).
+    /// `grid` (see [`PoiAttack::extraction_grid`]): the
+    /// [`PoiAttack::fold_user`] fold run from an empty shard.
     ///
     /// Per-user work is fully deterministic and independent of every other
     /// user, which is what lets [`PoiAttack::extract`] fan users out in
@@ -343,11 +373,72 @@ impl PoiAttack {
         user: UserId,
         grid: &UniformGrid,
     ) -> UserAttackShard {
+        self.fold_user(UserAttackShard::empty(user), dataset, grid)
+            .expect("an empty shard accepts any history")
+    }
+
+    /// Folds `fresh` — trajectories appended to the shard's user history
+    /// since it was extracted — into `shard`, on the same `grid`. The new
+    /// records' dwell pairs are added to the mass map (the first pair
+    /// closes on [`UserAttackShard::last_record`]) and the new kept
+    /// trajectories' stays are appended; the threshold, the density POIs
+    /// and the stay clustering are then recomputed from that state. The
+    /// result equals [`PoiAttack::extract_user`] over the whole history,
+    /// at the cost of `fresh` plus the user's cells and stays.
+    ///
+    /// Returns `None` when `fresh` does not extend the history in time
+    /// order — its first record precedes the shard's last record, or its
+    /// first kept stay precedes the shard's last stay — because the
+    /// history's time-sorted merge would then interleave old and new
+    /// data. The caller must run the full [`PoiAttack::extract_user`].
+    /// Only a successful fold counts towards
+    /// [`PoiAttack::user_extractions`].
+    pub fn fold_user(
+        &self,
+        mut shard: UserAttackShard,
+        fresh: &Dataset,
+        grid: &UniformGrid,
+    ) -> Option<UserAttackShard> {
+        let user = shard.user;
+        let records = fresh.records_of(user);
+        if let (Some(last), Some(first)) = (&shard.last_record, records.first()) {
+            if first.time < last.time {
+                return None;
+            }
+        }
+        let stays = self.kept_stays(fresh, user);
+        if let (Some(last), Some(first)) = (shard.stays.last(), stays.first()) {
+            if first.arrival < last.arrival {
+                return None;
+            }
+        }
         self.user_extractions.fetch_add(1, Ordering::Relaxed);
-        let dwell = self.dwell_field(dataset, user, grid);
-        let threshold_s = self.poi_threshold(&dwell);
-        let mut pois = self.extract_density_pois(&dwell, grid, threshold_s);
-        for p in self.extract_staypoint_pois(dataset, user, threshold_s) {
+        let mass = &mut shard.dwell.mass;
+        let mut previous = shard.last_record;
+        for record in records {
+            if let Some(prev) = previous {
+                let dwell =
+                    (record.time - prev.time).clamp(0, self.config.max_record_dwell_s) as f64;
+                if dwell > 0.0 {
+                    *mass.entry(grid.cell_of(&prev.point)).or_insert(0.0) += dwell;
+                }
+            }
+            previous = Some(record);
+        }
+        shard.last_record = previous;
+        shard.stays.extend(stays);
+        shard.dwell.mean_positive = if mass.is_empty() {
+            0.0
+        } else {
+            mass.values().sum::<f64>() / mass.len() as f64
+        };
+        shard.threshold_s = self.poi_threshold(&shard.dwell);
+        let mut pois = self.extract_density_pois(&shard.dwell, grid, shard.threshold_s);
+        let staypoint_pois = extract_pois(&shard.stays, &self.config.poi)
+            .into_iter()
+            .filter(|p| p.total_dwell_s as f64 >= shard.threshold_s)
+            .map(|p| p.centroid);
+        for p in staypoint_pois {
             let dup = pois
                 .iter()
                 .any(|q| q.haversine_distance(&p).get() < self.config.poi.merge_distance.get());
@@ -355,12 +446,8 @@ impl PoiAttack {
                 pois.push(p);
             }
         }
-        UserAttackShard {
-            user,
-            dwell,
-            threshold_s,
-            pois,
-        }
+        shard.pois = pois;
+        Some(shard)
     }
 
     /// Extracts every user's shard, fanned out over the available cores.
@@ -412,55 +499,19 @@ impl PoiAttack {
             .max(self.config.concentration_factor * field.mean_positive)
     }
 
-    /// Accumulates the user's dwell mass per grid cell.
-    fn dwell_field(&self, dataset: &Dataset, user: UserId, grid: &UniformGrid) -> DwellField {
-        let records = dataset.records_of(user);
-        let mut mass: HashMap<geo::CellId, f64> = HashMap::new();
-        for w in records.windows(2) {
-            let dwell = (w[1].time - w[0].time).clamp(0, self.config.max_record_dwell_s) as f64;
-            if dwell <= 0.0 {
-                continue;
-            }
-            *mass.entry(grid.cell_of(&w[0].point)).or_insert(0.0) += dwell;
-        }
-        let mean_positive = if mass.is_empty() {
-            0.0
-        } else {
-            mass.values().sum::<f64>() / mass.len() as f64
-        };
-        DwellField {
-            mass,
-            mean_positive,
-        }
-    }
-
-    /// Stay-point + clustering extractor, filtered by the dwell threshold.
+    /// Stay points of `user`'s trajectories in `dataset`, in arrival order.
     ///
     /// Trajectories whose speed is (near-)constant are skipped: on such data
     /// the detector produces a uniform chain of pseudo-stays along the path,
     /// which an adversary can recognise (and must discard) by checking the
     /// published speeds directly.
-    fn extract_staypoint_pois(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        threshold_s: f64,
-    ) -> Vec<GeoPoint> {
-        let trajs: Vec<&mobility::Trajectory> = dataset
-            .trajectories_of(user)
-            .into_iter()
-            .filter(|t| {
-                t.speed_cv()
-                    .map(|cv| cv >= self.config.min_speed_cv)
-                    .unwrap_or(true)
-            })
-            .collect();
-        let stays = detect_all(trajs.iter().copied(), &self.config.stay);
-        extract_pois(&stays, &self.config.poi)
-            .into_iter()
-            .filter(|p| p.total_dwell_s as f64 >= threshold_s)
-            .map(|p| p.centroid)
-            .collect()
+    fn kept_stays(&self, dataset: &Dataset, user: UserId) -> Vec<StayPoint> {
+        let kept = dataset.trajectories_of(user).into_iter().filter(|t| {
+            t.speed_cv()
+                .map(|cv| cv >= self.config.min_speed_cv)
+                .unwrap_or(true)
+        });
+        detect_all(kept, &self.config.stay)
     }
 
     /// Dwell-density extractor: anomalously heavy cells clustered by

@@ -35,7 +35,8 @@ use crate::metrics::{spatial_distortion, CrowdedBaseline, TrafficBaseline};
 use crate::pool::StrategyPool;
 use crate::selection::{CandidateResult, Objective, SelectionReport};
 use crate::streaming::{
-    CandidateDelta, CandidateState, StrategyDonor, StrategySessionCache, WindowUpdate,
+    CandidateDelta, CandidateState, StrategyDonor, StrategySessionCache, SweepPopulation,
+    WindowUpdate,
 };
 use geo::BoundingBox;
 use mobility::{Dataset, Trajectory, UserId};
@@ -453,12 +454,10 @@ impl EvaluationEngine {
         let mut sweep_span = obs::span("engine.sweep");
         sweep_span.set_attr("candidates", pool.len());
         strategies.align(pool, self.seed, &self.attack);
-        // Hoisted once per sweep: every candidate reuses the same user
-        // list instead of re-deriving it from the prefix.
-        let all_users: Vec<UserId> = match context.original_by_user() {
-            Some(by_user) => by_user.keys().copied().collect(),
-            None => context.original().users(),
-        };
+        // Hoisted once per sweep: every candidate reuses the same per-user
+        // decomposition (user list, histories, shape) instead of
+        // re-deriving it from the prefix.
+        let population = SweepPopulation::of(context);
         let candidates: Vec<&dyn crate::strategy::AnonymizationStrategy> =
             pool.iter().collect();
         let mut work: Vec<(usize, &mut CandidateState)> =
@@ -471,7 +470,7 @@ impl EvaluationEngine {
                 state,
                 context,
                 update,
-                &all_users,
+                &population,
                 donor,
             )
         };
@@ -533,15 +532,21 @@ impl EvaluationEngine {
         state: &mut CandidateState,
         context: &EvalContext<'_>,
         update: &WindowUpdate,
-        all_users: &[UserId],
+        population: &SweepPopulation<'_>,
         donor: Option<&StrategyDonor>,
     ) -> (CandidateResult, PoiAttackReport, CandidateDelta) {
-        // Per-candidate evaluation span. In parallel mode these run on
-        // rayon workers, so they root at the worker's (empty) span stack
-        // rather than under `engine.sweep` — the `candidate` attr keys
-        // them back to pool order.
+        // Per-candidate evaluation span. In parallel mode a candidate an
+        // idle rayon worker runs roots at the worker's (empty) span stack,
+        // one the sweeping thread runs nests under `engine.sweep` — the
+        // `candidate` attr keys them back to pool order, the `strategy`
+        // attr names them. The
+        // cached path nests `strategy.anonymize`, `attack.extract` and
+        // `utility.score` spans under it.
         let mut span = obs::span("engine.candidate");
         span.set_attr("candidate", index);
+        if obs::enabled() {
+            span.set_attr("strategy", strategy.info().to_string());
+        }
         if let Some(donated) = donor.and_then(|d| d.state_for(index, &strategy.info())) {
             // `utility_for` is None only when the donated shape cannot be
             // aligned with this prefix — an incompatible donor, which the
@@ -553,16 +558,9 @@ impl EvaluationEngine {
                     .attack
                     .match_extracted(&extracted, context.reference_index());
                 let delta = CandidateDelta {
-                    info: strategy.info(),
-                    locality: strategy.locality(),
-                    users_refreshed: 0,
-                    users_reused: 0,
-                    users_donated: all_users.len(),
-                    shards_refreshed: 0,
-                    shards_reused: 0,
+                    users_donated: population.users().len(),
                     shards_donated: state.shard_count(),
-                    protected_grid_rebuilt: false,
-                    full_fallback: false,
+                    ..CandidateDelta::new(strategy.info(), strategy.locality())
                 };
                 let result = CandidateResult {
                     info: strategy.info(),
@@ -579,7 +577,7 @@ impl EvaluationEngine {
             &self.attack,
             context,
             update,
-            all_users,
+            population,
             self.seed,
         );
         match cached {
@@ -702,6 +700,18 @@ fn record_candidate_deltas(deltas: &[CandidateDelta]) {
             delta.protected_grid_rebuilt as u64,
         );
         obs::count("strategy.full_fallbacks", delta.full_fallback as u64);
+        // Record volumes are histograms, one sample per candidate window:
+        // the sum is the total, the spread shows per-window growth.
+        obs::observe(
+            "strategy.records_anonymized",
+            obs::Buckets::Records,
+            delta.records_anonymized as u64,
+        );
+        obs::observe(
+            "strategy.records_extracted",
+            obs::Buckets::Records,
+            delta.records_extracted as u64,
+        );
         let hit_or_miss = if delta.full_fallback {
             "engine.cache_misses"
         } else {

@@ -12,44 +12,47 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// How much of the dataset one user's protected output depends on — the
-/// determinism contract behind per-user incremental re-anonymization.
+/// How much of the dataset one output trajectory depends on — the
+/// determinism contract behind incremental re-anonymization.
 ///
 /// A streaming deployment re-publishes a growing prefix every day. Whether
 /// yesterday's protected output (and the self-attack shards derived from
-/// it) can be reused for a user who contributed no new records depends on
-/// what [`AnonymizationStrategy::anonymize`] actually reads, so every
-/// strategy *declares* it here and the per-strategy session cache
+/// it) stays valid, and whether a window's new trajectories can be
+/// anonymized on their own, depends on what
+/// [`AnonymizationStrategy::anonymize`] actually reads, so every strategy
+/// *declares* it here and the per-strategy session cache
 /// ([`crate::streaming::StrategySessionCache`]) turns the declaration into
-/// an invalidation rule:
+/// an invalidation rule. The two local contracts are **per trajectory**:
 ///
-/// * [`UserLocality::UserLocal`] — user `u`'s output trajectories depend
-///   only on `u`'s own records and the run seed. Unchanged users keep
-///   their cached protected trajectories across windows. Randomized
-///   mechanisms qualify only when their randomness is derived per
-///   user/trajectory (as the strategies' shared `trajectory_rng` seed
-///   derivation does) — a
-///   mechanism drawing from one dataset-wide RNG stream would couple users
-///   through record ordering and must declare [`UserLocality::NonLocal`].
+/// * [`UserLocality::UserLocal`] — each output trajectory depends only on
+///   its input trajectory, its user and the run seed. A window's new
+///   trajectories are anonymized alone and their output appended; every
+///   earlier output is kept. Randomized mechanisms qualify only when their
+///   randomness is derived per trajectory (as the strategies' shared
+///   `trajectory_rng` seed derivation does) — a mechanism drawing from
+///   one dataset-wide RNG stream would couple trajectories through record
+///   ordering and must declare [`UserLocality::NonLocal`].
 /// * [`UserLocality::GridAnchored`] — like `UserLocal`, plus the dataset's
 ///   bounding box (the strategy anchors a grid/tessellation on its
 ///   *quantized* padded form, [`geo::BoundingBox::grid_anchor`], e.g.
 ///   [`crate::strategies::SpatialCloaking`]). A window that widens the
 ///   prefix bounding box past a lattice line shifts every cell and
 ///   invalidates **every** user's cached output for this strategy;
-///   drift inside the lattice — the common case — and windows touching
-///   only some users re-anonymize the changed users alone.
+///   drift inside the lattice — the common case — anonymizes the window's
+///   new trajectories alone.
 /// * [`UserLocality::NonLocal`] — the output may depend on anything in the
 ///   dataset. Nothing is cached: every window re-runs the full
 ///   [`AnonymizationStrategy::anonymize`] and a full protected-side
 ///   extraction. This is the safe default for external implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UserLocality {
-    /// Output for user `u` is a function of (`u`'s records, seed) only.
+    /// Each output trajectory is a function of (its input trajectory, its
+    /// user, seed) only.
     UserLocal,
-    /// Output for user `u` is a function of (`u`'s records, seed, dataset
-    /// bounding box) only — and of the box only through its quantized
-    /// anchor form ([`geo::BoundingBox::grid_anchor`]).
+    /// Each output trajectory is a function of (its input trajectory, its
+    /// user, seed, dataset bounding box) only — and of the box only
+    /// through its quantized anchor form
+    /// ([`geo::BoundingBox::grid_anchor`]).
     GridAnchored,
     /// Output may depend on the whole dataset (the conservative default).
     NonLocal,
@@ -122,13 +125,17 @@ pub trait AnonymizationStrategy: Send + Sync {
     /// order. Strategies declaring [`UserLocality::UserLocal`] or
     /// [`UserLocality::GridAnchored`] additionally promise:
     ///
-    /// * **locality** — the result depends only on `u`'s records, the
-    ///   seed and (for `GridAnchored`) the dataset bounding box, so an
-    ///   unchanged user's cached output stays valid as the dataset grows;
     /// * **shape preservation** — `anonymize` maps each input trajectory
     ///   to exactly one output trajectory (possibly emptied), preserving
     ///   dataset order, so per-user outputs can be re-interleaved into the
-    ///   full protected dataset byte-identically.
+    ///   full protected dataset byte-identically;
+    /// * **per-trajectory locality** — each output trajectory depends only
+    ///   on its input trajectory, the user, the seed and (for
+    ///   `GridAnchored`) the quantized anchor of the dataset bounding box.
+    ///   So `anonymize(prefix ++ window)` is `anonymize(prefix) ++
+    ///   anonymize(window)` under the same anchor: an unchanged user's
+    ///   cached output stays valid as the dataset grows, and a window's
+    ///   new trajectories are anonymized on their own.
     ///
     /// The default implementation anonymizes the whole dataset and filters
     /// — always correct, never cheaper; local strategies override it to

@@ -31,9 +31,12 @@
 //!    the prefix's bounding box, so a window that widens the bounding box
 //!    shifts every user's cell boundaries and invalidates *all* shards.
 //!
-//! Either way no *full-dataset* extraction pass runs on the original side:
-//! refreshes go through the per-user [`PoiAttack::extract_user`] delta
-//! path (fanned out over the cores).
+//! Either way no *full-dataset* extraction pass runs on the original side.
+//! A changed user's shard on an unmoved grid is folded forward with just
+//! the window's trajectories ([`PoiAttack::fold_user`]); a grid rebuild, a
+//! new user or a window the fold refuses goes through the per-user
+//! [`PoiAttack::extract_user`] path over the user's history (fanned out
+//! over the cores).
 //!
 //! # The protected side: per-strategy caches
 //!
@@ -45,19 +48,25 @@
 //! strategy declares through
 //! [`crate::strategy::AnonymizationStrategy::locality`]:
 //!
-//! * a [`UserLocality::UserLocal`] candidate re-anonymizes only users
-//!   with new records; everyone else's cached protected trajectories —
-//!   and, while the candidate's protected bounding box holds still, their
-//!   protected-side [`UserAttackShard`]s — carry over;
+//! * a [`UserLocality::UserLocal`] candidate anonymizes only the window's
+//!   new trajectories and appends their output (the per-trajectory
+//!   contract keeps every earlier output valid); while the candidate's
+//!   protected bounding box holds still, the changed users' protected-side
+//!   [`UserAttackShard`]s fold that output and everyone else's carry over;
 //! * a [`UserLocality::GridAnchored`] candidate additionally re-anonymizes
-//!   everyone when the prefix bounding box widens (its tessellation moved);
+//!   the whole prefix when the prefix's quantized anchor moves (its
+//!   tessellation moved);
 //! * a [`UserLocality::NonLocal`] candidate is never cached and re-runs
 //!   the full anonymize + self-attack, exactly as batch publish would.
 //!
 //! Together the two layers make the [`PoiAttack::extractions`] probe read
 //! **zero** full passes per window for a fully-local pool (batch pays
-//! `pool + 1` per release), and keep [`PoiAttack::user_extractions`]
-//! proportional to the users a window actually changed.
+//! `pool + 1` per release), keep [`PoiAttack::user_extractions`]
+//! proportional to the users a window actually changed, and keep the
+//! records a steady window anonymizes and extracts
+//! ([`CandidateDelta::records_anonymized`],
+//! [`CandidateDelta::records_extracted`],
+//! [`WindowDelta::records_extracted`]) proportional to the window itself.
 //!
 //! # The winners-parity invariant
 //!
@@ -65,10 +74,10 @@
 //! (same [`crate::selection::SelectionReport`], same released dataset) as
 //! a batch [`crate::pipeline::PrivApi::publish`] over the concatenated
 //! prefix [`mobility::WindowedDataset::prefix`]`(i)`. The cache never
-//! approximates: refreshed shards are extracted from the *full* accumulated
-//! prefix (cross-midnight dwell included), and amended per-user indexes
-//! are structurally identical to freshly built ones. Property tests across
-//! generator seeds enforce this.
+//! approximates: a folded shard equals one extracted from the *full*
+//! accumulated prefix (cross-midnight dwell included), and amended
+//! per-user indexes are structurally identical to freshly built ones.
+//! Property tests across generator seeds enforce this.
 
 use crate::attack::{
     PoiAttack, PoiAttackConfig, ReferenceIndex, ReferencePois, UserAttackShard,
@@ -85,6 +94,7 @@ use mobility::{
     Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId, WindowedDataset,
 };
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -100,8 +110,9 @@ const BBOX_PIN_USER: UserId = UserId(u64::MAX);
 pub struct WindowDelta {
     /// Day index of the ingested window.
     pub day: i64,
-    /// Users re-extracted over the grown prefix (new records, or a grid
-    /// rebuild touched everyone).
+    /// Users whose shard was brought up to the grown prefix — folded
+    /// forward, or re-extracted (new records, or a grid rebuild touched
+    /// everyone).
     pub users_refreshed: usize,
     /// Users whose cached shard (and per-user index) was reused untouched.
     pub users_reused: usize,
@@ -123,6 +134,11 @@ pub struct WindowDelta {
     /// every delta so downstream audit rows carry the padding factor the
     /// `grid_rebuilt` flag was judged under.
     pub grid_quantum_millideg: u32,
+    /// Records the original-side extraction read: each refreshed user's new
+    /// records when their shard was folded forward
+    /// ([`PoiAttack::fold_user`]), their whole history when it was
+    /// re-extracted. A steady window reads about its own record count.
+    pub records_extracted: usize,
 }
 
 /// [`WindowDelta::grid_quantum_millideg`], derived from the geo constant.
@@ -142,6 +158,11 @@ fn record_window_delta(delta: &WindowDelta) {
     obs::count("streaming.users_derived", delta.users_derived as u64);
     obs::count("streaming.indexes_extended", delta.indexes_extended as u64);
     obs::count("streaming.grid_rebuilds", delta.grid_rebuilt as u64);
+    obs::observe(
+        "streaming.records_extracted",
+        obs::Buckets::Records,
+        delta.records_extracted as u64,
+    );
     obs::count("streaming.windows_ingested", 1);
 }
 
@@ -570,9 +591,11 @@ impl PopulationCache {
     }
 
     /// Folds one day window into the cache: appends its trajectories to
-    /// the prefix, re-extracts (only) the invalidated users' shards over
-    /// the grown prefix via the [`PoiAttack::extract_user`] delta path,
-    /// and amends the reference POIs and their spatial index.
+    /// the prefix, brings (only) the invalidated users' shards up to the
+    /// grown prefix — folding the window into a cached shard
+    /// ([`PoiAttack::fold_user`]), or re-extracting the user's history
+    /// via [`PoiAttack::extract_user`] after a grid move — and amends the
+    /// reference POIs and their spatial index.
     ///
     /// Per-window cost is `O(window + refreshed users)`: the prefix
     /// bounding box is maintained by [`geo::BoundingBox::union`] (exact
@@ -658,11 +681,14 @@ impl PopulationCache {
             self.attack_config = Some(attack.config().clone());
         }
         let changed = window.users();
+        // The window's own trajectories per user: what a cached shard folds.
+        let mut fresh: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
         for t in window.dataset().trajectories() {
             self.by_user
                 .entry(t.user())
                 .or_default()
                 .push(Arc::clone(t));
+            fresh.entry(t.user()).or_default().push(Arc::clone(t));
         }
         self.prefix
             .extend(window.dataset().trajectories().iter().cloned());
@@ -683,6 +709,7 @@ impl PopulationCache {
                 grid_rebuilt: false,
                 users_derived: 0,
                 grid_quantum_millideg: grid_quantum_millideg(),
+                records_extracted: 0,
             });
         };
         // The extraction grid is anchored on the *quantized* padded box:
@@ -720,14 +747,36 @@ impl PopulationCache {
             None => to_extract = to_refresh.clone(),
         }
         let grid = attack.grid_for(bbox);
-        // Each refresh reads only the user's own history through the
-        // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan.
-        let refreshed: Vec<UserAttackShard> = to_extract
-            .par_iter()
+        // On an unmoved grid a cached shard folds just the window's
+        // trajectories; a new user, a moved grid or an out-of-order window
+        // re-extracts the user's history through the per-user
+        // decomposition — a `Vec<Arc>` clone, not a prefix scan.
+        let mut jobs: Vec<(UserId, Option<UserAttackShard>)> = to_extract
+            .iter()
             .map(|&user| {
-                let history =
-                    Dataset::from_shared(self.by_user.get(&user).cloned().unwrap_or_default());
-                attack.extract_user(&history, user, &grid)
+                let cached = if grid_rebuilt {
+                    None
+                } else {
+                    self.shards.remove(&user)
+                };
+                (user, cached)
+            })
+            .collect();
+        let by_user = &self.by_user;
+        let refreshed: Vec<(UserAttackShard, usize)> = jobs
+            .par_iter_mut()
+            .map(|(user, cached)| {
+                let user = *user;
+                cached
+                    .take()
+                    .and_then(|shard| {
+                        let window = shared_dataset(fresh.get(&user));
+                        let records = window.record_count();
+                        attack
+                            .fold_user(shard, &window, &grid)
+                            .map(|shard| (shard, records))
+                    })
+                    .unwrap_or_else(|| extract_history(attack, by_user.get(&user), user, &grid))
             })
             .collect();
         let index = self
@@ -735,6 +784,8 @@ impl PopulationCache {
             .get_or_insert_with(|| ReferenceIndex::empty(attack.config().match_distance));
         let mut indexes_extended = 0;
         let users_derived = derived.len();
+        let records_extracted = refreshed.iter().map(|(_, records)| records).sum();
+        let refreshed = refreshed.into_iter().map(|(shard, _)| shard);
         for shard in derived.into_iter().chain(refreshed) {
             if index.update_user(shard.user, &shard.pois) {
                 indexes_extended += 1;
@@ -752,6 +803,7 @@ impl PopulationCache {
             grid_rebuilt,
             users_derived,
             grid_quantum_millideg: grid_quantum_millideg(),
+            records_extracted,
         };
         record_window_delta(&delta);
         Ok(delta)
@@ -873,8 +925,8 @@ pub struct CandidateDelta {
     pub info: StrategyInfo,
     /// The locality contract the candidate declared.
     pub locality: UserLocality,
-    /// Users re-anonymized over the grown prefix
-    /// ([`AnonymizationStrategy::anonymize_user`] calls).
+    /// Users whose protected output was extended (or, on a full refresh,
+    /// rebuilt) this window.
     pub users_refreshed: usize,
     /// Users whose cached protected trajectories were reused untouched.
     pub users_reused: usize,
@@ -883,8 +935,8 @@ pub struct CandidateDelta {
     /// anonymization work here; always zero outside the multi-campaign
     /// orchestrator's donor path.
     pub users_donated: usize,
-    /// Users whose protected-side [`UserAttackShard`] was re-extracted via
-    /// the per-user delta path.
+    /// Users whose protected-side [`UserAttackShard`] was folded forward or
+    /// re-extracted.
     pub shards_refreshed: usize,
     /// Users whose cached protected-side shard was reused untouched.
     pub shards_reused: usize,
@@ -900,6 +952,34 @@ pub struct CandidateDelta {
     /// [`UserLocality::NonLocal`], or violated the shape contract): a full
     /// re-anonymization plus a full protected-side extraction.
     pub full_fallback: bool,
+    /// Original records fed to the strategy by the cached path: the
+    /// changed users' new trajectories on a steady window, the whole
+    /// prefix on a full refresh. Zero on the donor and fallback paths.
+    pub records_anonymized: usize,
+    /// Protected records the cached path's self-attack read: the new
+    /// output when a shard was folded forward, the user's whole protected
+    /// history when it was re-extracted.
+    pub records_extracted: usize,
+}
+
+impl CandidateDelta {
+    /// A zeroed delta for one candidate.
+    pub(crate) fn new(info: StrategyInfo, locality: UserLocality) -> Self {
+        Self {
+            info,
+            locality,
+            users_refreshed: 0,
+            users_reused: 0,
+            users_donated: 0,
+            shards_refreshed: 0,
+            shards_reused: 0,
+            shards_donated: 0,
+            protected_grid_rebuilt: false,
+            full_fallback: false,
+            records_anonymized: 0,
+            records_extracted: 0,
+        }
+    }
 }
 
 /// Pool-wide aggregate of [`CandidateDelta`]s for one window — the
@@ -909,13 +989,13 @@ pub struct CandidateDelta {
 pub struct StrategyCacheDelta {
     /// Candidates evaluated.
     pub candidates: usize,
-    /// Total per-candidate users re-anonymized.
+    /// Total per-candidate users whose protected output was refreshed.
     pub users_refreshed: usize,
     /// Total per-candidate users whose protected trajectories were reused.
     pub users_reused: usize,
     /// Total per-candidate users adopted from a donor campaign's state.
     pub users_donated: usize,
-    /// Total per-candidate protected-side shard re-extractions.
+    /// Total per-candidate protected-side shard refreshes.
     pub shards_refreshed: usize,
     /// Total per-candidate protected-side shards reused untouched.
     pub shards_reused: usize,
@@ -925,6 +1005,10 @@ pub struct StrategyCacheDelta {
     pub protected_grid_rebuilds: usize,
     /// Candidates that took the full uncached path.
     pub full_fallbacks: usize,
+    /// Total original records fed to the strategies by the cached path.
+    pub records_anonymized: usize,
+    /// Total protected records the cached self-attacks read.
+    pub records_extracted: usize,
 }
 
 impl StrategyCacheDelta {
@@ -943,8 +1027,60 @@ impl StrategyCacheDelta {
             total.shards_donated += d.shards_donated;
             total.protected_grid_rebuilds += usize::from(d.protected_grid_rebuilt);
             total.full_fallbacks += usize::from(d.full_fallback);
+            total.records_anonymized += d.records_anonymized;
+            total.records_extracted += d.records_extracted;
         }
         total
+    }
+}
+
+/// The original prefix decomposed per user, prepared once per sweep: every
+/// candidate refresh reads its user list, each user's history and the
+/// expected per-user trajectory counts (the shape check) from here instead
+/// of rescanning the prefix.
+#[derive(Debug)]
+pub(crate) struct SweepPopulation<'a> {
+    by_user: Cow<'a, BTreeMap<UserId, Vec<Arc<Trajectory>>>>,
+    users: Vec<UserId>,
+}
+
+impl<'a> SweepPopulation<'a> {
+    /// Borrows the context's per-user decomposition, or groups the
+    /// context's original dataset once when none is attached.
+    pub(crate) fn of(context: &'a EvalContext<'_>) -> Self {
+        let by_user = match context.original_by_user() {
+            Some(by_user) => Cow::Borrowed(by_user),
+            None => {
+                let mut grouped: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
+                for t in context.original().trajectories() {
+                    grouped.entry(t.user()).or_default().push(Arc::clone(t));
+                }
+                Cow::Owned(grouped)
+            }
+        };
+        let users = by_user.keys().copied().collect();
+        Self { by_user, users }
+    }
+
+    /// Every user of the prefix, sorted.
+    pub(crate) fn users(&self) -> &[UserId] {
+        &self.users
+    }
+
+    /// `user`'s trajectories in prefix order (empty for an unknown user).
+    fn history(&self, user: UserId) -> &[Arc<Trajectory>] {
+        self.by_user.get(&user).map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether `protected` holds exactly one output trajectory per prefix
+    /// trajectory of every prefix user — the shape under which it
+    /// re-interleaves into the protected prefix. O(users).
+    fn shape_matches(&self, protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>) -> bool {
+        protected.len() == self.by_user.len()
+            && self
+                .by_user
+                .iter()
+                .all(|(user, mine)| protected.get(user).map(Vec::len) == Some(mine.len()))
     }
 }
 
@@ -977,16 +1113,18 @@ pub(crate) struct CandidateState {
     /// decomposition), shared so donor clones are pointer copies.
     shards: BTreeMap<UserId, Arc<UserAttackShard>>,
     /// Incrementally maintained protected-side utility counts, keyed on
-    /// the *baseline* grid.
-    utility: UtilityCache,
+    /// the *baseline* grid — shared, so donor snapshots and followers
+    /// hold pointers and only the next fold copies.
+    utility: Arc<UtilityCache>,
     /// Whether this state has absorbed at least one window.
     primed: bool,
 }
 
-/// The protected side of the incremental utility computation: per-user
-/// contributions to the objective's histogram plus the folded global
-/// counts, so a window re-scores `O(changed users' records)` instead of
-/// re-histogramming the whole assembled protected prefix.
+/// The protected side of the incremental utility computation: the folded
+/// counts of the objective's histogram, so a window re-scores by adding
+/// its new protected trajectories instead of re-histogramming the whole
+/// assembled protected prefix. Protected output only ever grows by
+/// appended trajectories between rebuilds, so the counts never retract.
 ///
 /// Keyed on the **baseline** grid (anchor box + cell size): a baseline
 /// whose grid moved — prefix crossed the anchor lattice, objective changed
@@ -996,33 +1134,71 @@ enum UtilityCache {
     /// No incremental projection (distortion / unavailable baseline).
     #[default]
     None,
-    /// Crowded places. Distinct-visitor semantics need refcounts: a cell's
-    /// count is the number of distinct `(cell, record-user)` pairs alive,
-    /// and a pair stays alive while *any* map-user's trajectories carry it
-    /// — exact for arbitrary record ownership, not just the common
-    /// `record.user == trajectory.user` case.
+    /// Crowded places: a cell's count is its number of distinct
+    /// `(cell, record-user)` pairs — exact for arbitrary record ownership,
+    /// not just the common `record.user == trajectory.user` case.
     Crowded {
         anchor: BoundingBox,
         cell: Meters,
-        /// Each user's distinct `(cell, record-user)` contribution.
-        by_user: BTreeMap<UserId, Vec<(CellId, UserId)>>,
-        /// How many users contribute each pair.
-        pair_refs: HashMap<(CellId, UserId), u32>,
+        /// Every `(cell, record-user)` pair seen so far.
+        pairs: HashSet<(CellId, UserId)>,
         /// Distinct visitors per cell — fed to
         /// [`CrowdedBaseline::score_counts`] verbatim.
         counts: HashMap<CellId, u64>,
     },
-    /// Traffic. Counts are additive, so plain per-user histograms keyed
-    /// `(cell, hour, day)` suffice; the train histogram for eval day `d`
-    /// is `total − by_day[d]` with exact-zero keys pruned (integer-valued
-    /// `f64`, so the subtraction is exact).
+    /// Traffic: `(cell, hour)` histograms over all days and per day; the
+    /// train histogram for eval day `d` is `total − by_day[d]` with
+    /// exact-zero keys pruned (integer-valued `f64`, so the subtraction is
+    /// exact).
     Traffic {
         anchor: BoundingBox,
         cell: Meters,
-        by_user: BTreeMap<UserId, HashMap<(CellId, i64, i64), f64>>,
         total: HashMap<(CellId, i64), f64>,
         by_day: BTreeMap<i64, HashMap<(CellId, i64), f64>>,
     },
+}
+
+impl UtilityCache {
+    /// Whether these counts were folded on `grid` (anchor box and cell).
+    fn keyed_on(&self, grid: &UniformGrid) -> bool {
+        match self {
+            UtilityCache::Crowded { anchor, cell, .. }
+            | UtilityCache::Traffic { anchor, cell, .. } => {
+                *anchor == grid.bbox() && *cell == grid.cell_size()
+            }
+            UtilityCache::None => false,
+        }
+    }
+
+    /// Adds the records of `trajectories` to the counts. Crowded pairs are
+    /// set-inserted and traffic counts are integer-valued sums of `1.0`,
+    /// so folding window by window equals one scan in any order.
+    fn fold<'t>(
+        &mut self,
+        grid: &UniformGrid,
+        trajectories: impl Iterator<Item = &'t Arc<Trajectory>>,
+    ) {
+        for r in trajectories.flat_map(|t| t.records()) {
+            let cell = grid.cell_of(&r.point);
+            match self {
+                UtilityCache::Crowded { pairs, counts, .. } => {
+                    if pairs.insert((cell, r.user)) {
+                        *counts.entry(cell).or_insert(0) += 1;
+                    }
+                }
+                UtilityCache::Traffic { total, by_day, .. } => {
+                    let key = (cell, r.time.hour_of_day());
+                    *total.entry(key).or_insert(0.0) += 1.0;
+                    *by_day
+                        .entry(r.time.day_index())
+                        .or_default()
+                        .entry(key)
+                        .or_insert(0.0) += 1.0;
+                }
+                UtilityCache::None => {}
+            }
+        }
+    }
 }
 
 impl CandidateState {
@@ -1033,7 +1209,7 @@ impl CandidateState {
         self.bbox = None;
         self.grid_box = None;
         self.shards.clear();
-        self.utility = UtilityCache::None;
+        self.utility = Arc::default();
         self.primed = false;
     }
 
@@ -1100,45 +1276,42 @@ impl CandidateState {
     /// aligned with the context's original — a donated state from a
     /// different prefix, which the caller must reject.
     pub(crate) fn utility_for(&self, context: &EvalContext<'_>) -> Option<f64> {
-        match (context.baseline(), &self.utility) {
+        let utility = self.utility.as_ref();
+        match (context.baseline(), utility) {
             (ObjectiveBaseline::Unavailable, _) => Some(0.0),
-            (
-                ObjectiveBaseline::Crowded(b),
-                UtilityCache::Crowded {
-                    anchor,
-                    cell,
-                    counts,
-                    ..
-                },
-            ) if *anchor == b.grid().bbox() && *cell == b.grid().cell_size() => {
+            (ObjectiveBaseline::Crowded(b), UtilityCache::Crowded { counts, .. })
+                if utility.keyed_on(b.grid()) =>
+            {
                 Some(b.score_counts(counts).precision_at_k)
             }
-            (
-                ObjectiveBaseline::Traffic(b),
-                UtilityCache::Traffic {
-                    anchor,
-                    cell,
-                    total,
-                    by_day,
-                    ..
-                },
-            ) if *anchor == b.grid().bbox() && *cell == b.grid().cell_size() => Some(
-                b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
-                    .utility_score(),
-            ),
+            (ObjectiveBaseline::Traffic(b), UtilityCache::Traffic { total, by_day, .. })
+                if utility.keyed_on(b.grid()) =>
+            {
+                Some(
+                    b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
+                        .utility_score(),
+                )
+            }
             _ => self
                 .assemble(context.original())
                 .map(|assembled| context.utility_of(&assembled)),
         }
     }
 
-    /// Folds one window into this candidate's cache: re-anonymizes the
-    /// invalidated users (per the declared [`UserLocality`]), re-extracts
-    /// the invalidated protected-side shards, folds the refreshed users
-    /// into the incremental utility counts, and returns the extracted POIs
-    /// plus the utility score — exactly what [`PoiAttack::extract`] +
-    /// utility scoring over a fresh [`AnonymizationStrategy::anonymize`]
-    /// would produce, without paying for the unchanged users.
+    /// Folds one window into this candidate's cache and returns the
+    /// extracted POIs plus the utility score — exactly what
+    /// [`PoiAttack::extract`] + utility scoring over a fresh
+    /// [`AnonymizationStrategy::anonymize`] would produce, at the cost of
+    /// the window's own records.
+    ///
+    /// Under the per-trajectory locality contract a changed user's output
+    /// for their old trajectories is unchanged, so the window's new
+    /// trajectories are anonymized alone and their output appended; the
+    /// user's protected-side shard folds that output
+    /// ([`PoiAttack::fold_user`]) and the utility counts add it. The first
+    /// window and a [`UserLocality::GridAnchored`] candidate's anchor move
+    /// re-anonymize the whole prefix instead, and a moved protected grid
+    /// re-extracts every shard.
     ///
     /// Returns `(None, delta)` when the candidate cannot be cached
     /// ([`UserLocality::NonLocal`], or a shape-contract violation): the
@@ -1149,347 +1322,214 @@ impl CandidateState {
         attack: &PoiAttack,
         context: &EvalContext<'_>,
         update: &WindowUpdate,
-        all_users: &[UserId],
+        population: &SweepPopulation<'_>,
         seed: u64,
     ) -> (Option<(ReferencePois, f64)>, CandidateDelta) {
         let info = strategy.info();
         let locality = strategy.locality();
-        let mut delta = CandidateDelta {
-            info: info.clone(),
-            locality,
-            users_refreshed: 0,
-            users_reused: 0,
-            users_donated: 0,
-            shards_refreshed: 0,
-            shards_reused: 0,
-            shards_donated: 0,
-            protected_grid_rebuilt: false,
-            full_fallback: false,
-        };
+        let mut delta = CandidateDelta::new(info.clone(), locality);
         self.info = Some(info);
         if locality == UserLocality::NonLocal {
             self.clear();
             delta.full_fallback = true;
             return (None, delta);
         }
-        let original = context.original();
-        let to_refresh: &[UserId] = if !self.primed
-            || (locality == UserLocality::GridAnchored && update.grid_rebuilt)
-        {
+        let all_users = population.users();
+        let full =
+            !self.primed || (locality == UserLocality::GridAnchored && update.grid_rebuilt);
+        let to_refresh: &[UserId] = if full {
             all_users
         } else {
             &update.changed_users
         };
         delta.users_refreshed = to_refresh.len();
         delta.users_reused = all_users.len() - to_refresh.len();
-        let full = to_refresh.len() == all_users.len();
-        if full {
-            // Full refresh (first window, or a grid-anchored candidate
-            // after a quantized-anchor move): one whole-dataset `anonymize`
-            // pass, decomposed per user, beats `users` separate
-            // `anonymize_user` scans over the full trajectory list — and
-            // is the canonical output the per-user surface must agree
-            // with anyway.
-            let mut grouped: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
-            for trajectory in strategy.anonymize(original, seed).into_shared() {
-                grouped
-                    .entry(trajectory.user())
-                    .or_default()
-                    .push(trajectory);
+        // Each refreshed user's newly appended protected trajectories.
+        let mut appended: Vec<(UserId, Vec<Arc<Trajectory>>)> = Vec::new();
+        {
+            let mut span = obs::span("strategy.anonymize");
+            if full {
+                // One whole-dataset `anonymize` pass, decomposed per user:
+                // the canonical output the per-trajectory surface must
+                // agree with anyway.
+                let original = context.original();
+                delta.records_anonymized = original.record_count();
+                let mut grouped: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
+                for trajectory in strategy.anonymize(original, seed).into_shared() {
+                    grouped
+                        .entry(trajectory.user())
+                        .or_default()
+                        .push(trajectory);
+                }
+                self.boxes = grouped
+                    .iter()
+                    .map(|(user, mine)| (*user, user_bounding_box(mine)))
+                    .collect();
+                self.protected = grouped;
+            } else {
+                // A steady window's per-user work is window-sized and the
+                // sweep already spreads candidates over the cores, so the
+                // changed users run in place rather than fanned out again.
+                for &user in to_refresh {
+                    let cached = self.protected.get(&user).map_or(0, Vec::len);
+                    let tail = population.history(user).get(cached..).unwrap_or_default();
+                    delta.records_anonymized += tail.iter().map(|t| t.len()).sum::<usize>();
+                    let output =
+                        anonymize_tail(strategy, context, population, user, cached, seed);
+                    let grown = match (
+                        self.boxes.get(&user).copied().flatten(),
+                        user_bounding_box(&output),
+                    ) {
+                        (Some(a), Some(b)) => Some(a.union(&b)),
+                        (a, b) => a.or(b),
+                    };
+                    self.boxes.insert(user, grown);
+                    self.protected
+                        .entry(user)
+                        .or_default()
+                        .extend(output.iter().cloned());
+                    appended.push((user, output));
+                }
             }
-            self.boxes = grouped
-                .iter()
-                .map(|(user, mine)| (*user, user_bounding_box(mine)))
-                .collect();
-            self.protected = grouped;
-        } else {
-            let refreshed: Vec<(UserId, Vec<Arc<Trajectory>>)> = to_refresh
-                .par_iter()
-                .map(|&user| (user, anonymize_one_user(strategy, context, user, seed)))
-                .collect();
-            for (user, trajectories) in refreshed {
-                self.boxes.insert(user, user_bounding_box(&trajectories));
-                self.protected.insert(user, trajectories);
-            }
+            span.set_attr("records", delta.records_anonymized);
         }
-        // Shape check, O(users): the cached decomposition re-interleaves
-        // into the prefix iff it covers exactly the prefix's users with
-        // exactly the prefix's per-user trajectory counts (the
-        // one-output-per-input contract).
-        let mut expected: BTreeMap<UserId, usize> = BTreeMap::new();
-        for t in original.trajectories() {
-            *expected.entry(t.user()).or_insert(0) += 1;
-        }
-        let shape_ok = expected.len() == self.protected.len()
-            && expected
-                .iter()
-                .all(|(user, n)| self.protected.get(user).map(Vec::len) == Some(*n));
-        if !shape_ok {
+        if !population.shape_matches(&self.protected) {
             // Shape-contract violation: drop everything and let the caller
             // take the always-correct full path.
             self.clear();
             delta.full_fallback = true;
             delta.users_refreshed = 0;
             delta.users_reused = 0;
+            delta.records_anonymized = 0;
             return (None, delta);
         }
         // The protected-side extraction grid is anchored on the *protected*
         // bounding box — through its quantized padded form, so drift inside
-        // the lattice reuses every shard; only an anchor move invalidates
+        // the lattice keeps every shard; only an anchor move invalidates
         // them all, no matter whose records changed.
         let bbox = union_of(&self.boxes);
         let grid_box = bbox.map(|b| b.grid_anchor());
         delta.protected_grid_rebuilt = self.primed && grid_box != self.grid_box;
-        let shard_refresh: &[UserId] = if !self.primed || delta.protected_grid_rebuilt {
-            all_users
-        } else {
-            to_refresh
-        };
-        delta.shards_refreshed = shard_refresh.len();
-        delta.shards_reused = all_users.len() - shard_refresh.len();
         match bbox {
             Some(bbox) => {
+                let mut span = obs::span("attack.extract");
                 let grid = attack.grid_for(bbox);
-                let shards: Vec<UserAttackShard> = shard_refresh
-                    .par_iter()
-                    .map(|&user| {
-                        // The shard depends only on the user's own records
-                        // and the grid: extract from the user's protected
-                        // trajectories alone instead of the assembled
-                        // prefix.
-                        let mine = Dataset::from_shared(
-                            self.protected.get(&user).cloned().unwrap_or_default(),
-                        );
-                        attack.extract_user(&mine, user, &grid)
-                    })
-                    .collect();
-                for shard in shards {
+                let shards: Vec<(UserAttackShard, usize)> = if full
+                    || delta.protected_grid_rebuilt
+                {
+                    // Every shard from the user's whole protected history.
+                    let protected = &self.protected;
+                    all_users
+                        .par_iter()
+                        .map(|&user| extract_history(attack, protected.get(&user), user, &grid))
+                        .collect()
+                } else {
+                    appended
+                        .iter()
+                        .map(|(user, output)| {
+                            let window = Dataset::from_shared(output.clone());
+                            self.shards
+                                .remove(user)
+                                .and_then(|shard| {
+                                    attack.fold_user(
+                                        Arc::unwrap_or_clone(shard),
+                                        &window,
+                                        &grid,
+                                    )
+                                })
+                                .map(|shard| (shard, window.record_count()))
+                                .unwrap_or_else(|| {
+                                    extract_history(
+                                        attack,
+                                        self.protected.get(user),
+                                        *user,
+                                        &grid,
+                                    )
+                                })
+                        })
+                        .collect()
+                };
+                delta.shards_refreshed = shards.len();
+                delta.shards_reused = all_users.len() - shards.len();
+                for (shard, records) in shards {
+                    delta.records_extracted += records;
                     self.shards.insert(shard.user, Arc::new(shard));
                 }
+                span.set_attr("records", delta.records_extracted);
             }
             None => {
                 // An entirely emptied protected prefix extracts nothing —
                 // mirror `PoiAttack::extract` on a record-less dataset.
-                delta.shards_refreshed = 0;
-                delta.shards_reused = 0;
                 self.shards.clear();
             }
         }
         self.bbox = bbox;
         self.grid_box = grid_box;
         self.primed = true;
-        let utility = self.refresh_utility(context, to_refresh, full);
+        let utility = {
+            let _span = obs::span("utility.score");
+            self.refresh_utility(context, &appended, full)
+        };
         (Some((self.extracted_pois(), utility)), delta)
     }
 
-    /// Folds the `refreshed` users into the incremental utility counts
-    /// (rebuilding them when `full` or when the baseline grid moved) and
-    /// scores the candidate — byte-identical to scoring the assembled
-    /// protected prefix, because [`CrowdedBaseline::score_counts`] /
-    /// [`TrafficBaseline::score_train`] are fed histograms equal to what
-    /// the full per-record scan would produce.
+    /// Folds the `appended` protected trajectories into the incremental
+    /// utility counts (rebuilding them over every user when `full` or when
+    /// the baseline grid moved) and scores the candidate — byte-identical
+    /// to scoring the assembled protected prefix, because
+    /// [`CrowdedBaseline::score_counts`] / [`TrafficBaseline::score_train`]
+    /// are fed histograms equal to what the full per-record scan would
+    /// produce.
     fn refresh_utility(
         &mut self,
         context: &EvalContext<'_>,
-        refreshed: &[UserId],
+        appended: &[(UserId, Vec<Arc<Trajectory>>)],
         full: bool,
     ) -> f64 {
-        match context.baseline() {
-            ObjectiveBaseline::Crowded(b) => {
-                let grid = b.grid();
-                let keyed = matches!(
-                    &self.utility,
-                    UtilityCache::Crowded { anchor, cell, .. }
-                        if *anchor == grid.bbox() && *cell == grid.cell_size()
-                );
-                let rebuild = full || !keyed;
-                if rebuild {
-                    self.utility = UtilityCache::Crowded {
-                        anchor: grid.bbox(),
-                        cell: grid.cell_size(),
-                        by_user: BTreeMap::new(),
-                        pair_refs: HashMap::new(),
-                        counts: HashMap::new(),
-                    };
-                }
-                let users: Vec<UserId> = if rebuild {
-                    self.protected.keys().copied().collect()
-                } else {
-                    refreshed.to_vec()
-                };
-                let protected = &self.protected;
-                let UtilityCache::Crowded {
-                    by_user,
-                    pair_refs,
-                    counts,
-                    ..
-                } = &mut self.utility
-                else {
-                    unreachable!("rebuilt above")
-                };
-                for user in users {
-                    Self::fold_crowded(protected, grid, user, by_user, pair_refs, counts);
-                }
-                b.score_counts(counts).precision_at_k
-            }
-            ObjectiveBaseline::Traffic(b) => {
-                let grid = b.grid();
-                let keyed = matches!(
-                    &self.utility,
-                    UtilityCache::Traffic { anchor, cell, .. }
-                        if *anchor == grid.bbox() && *cell == grid.cell_size()
-                );
-                let rebuild = full || !keyed;
-                if rebuild {
-                    self.utility = UtilityCache::Traffic {
-                        anchor: grid.bbox(),
-                        cell: grid.cell_size(),
-                        by_user: BTreeMap::new(),
-                        total: HashMap::new(),
-                        by_day: BTreeMap::new(),
-                    };
-                }
-                let users: Vec<UserId> = if rebuild {
-                    self.protected.keys().copied().collect()
-                } else {
-                    refreshed.to_vec()
-                };
-                let protected = &self.protected;
-                let UtilityCache::Traffic {
-                    by_user,
-                    total,
-                    by_day,
-                    ..
-                } = &mut self.utility
-                else {
-                    unreachable!("rebuilt above")
-                };
-                for user in users {
-                    Self::fold_traffic(protected, grid, user, by_user, total, by_day);
-                }
-                b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
-                    .utility_score()
-            }
+        let (grid, fresh) = match context.baseline() {
+            ObjectiveBaseline::Crowded(b) => (
+                b.grid(),
+                UtilityCache::Crowded {
+                    anchor: b.grid().bbox(),
+                    cell: b.grid().cell_size(),
+                    pairs: HashSet::new(),
+                    counts: HashMap::new(),
+                },
+            ),
+            ObjectiveBaseline::Traffic(b) => (
+                b.grid(),
+                UtilityCache::Traffic {
+                    anchor: b.grid().bbox(),
+                    cell: b.grid().cell_size(),
+                    total: HashMap::new(),
+                    by_day: BTreeMap::new(),
+                },
+            ),
             ObjectiveBaseline::Distortion => {
                 // Distortion pairs original and protected records directly;
                 // there is no histogram to maintain. Assembling is pointer
                 // clones, so the candidate still avoids re-anonymization.
-                self.utility = UtilityCache::None;
+                self.utility = Arc::default();
                 let assembled = self
                     .assemble(context.original())
                     .expect("shape checked before scoring");
-                context.utility_of(&assembled)
+                return context.utility_of(&assembled);
             }
             ObjectiveBaseline::Unavailable => {
-                self.utility = UtilityCache::None;
-                0.0
+                self.utility = Arc::default();
+                return 0.0;
             }
+        };
+        let rebuild = full || !self.utility.keyed_on(grid);
+        if rebuild {
+            self.utility = Arc::new(fresh);
         }
-    }
-
-    /// Replaces `user`'s contribution to the crowded-places visitor counts:
-    /// refcounted `(cell, record-user)` pairs make removal exact even when
-    /// several map-users carry records of the same record-user.
-    fn fold_crowded(
-        protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-        grid: &UniformGrid,
-        user: UserId,
-        by_user: &mut BTreeMap<UserId, Vec<(CellId, UserId)>>,
-        pair_refs: &mut HashMap<(CellId, UserId), u32>,
-        counts: &mut HashMap<CellId, u64>,
-    ) {
-        if let Some(old) = by_user.remove(&user) {
-            for pair in old {
-                let Some(refs) = pair_refs.get_mut(&pair) else {
-                    continue;
-                };
-                *refs -= 1;
-                if *refs == 0 {
-                    pair_refs.remove(&pair);
-                    if let Some(count) = counts.get_mut(&pair.0) {
-                        *count -= 1;
-                        if *count == 0 {
-                            counts.remove(&pair.0);
-                        }
-                    }
-                }
-            }
+        let mut added = fold_input(&self.protected, appended, rebuild).peekable();
+        if added.peek().is_some() {
+            Arc::make_mut(&mut self.utility).fold(grid, added);
         }
-        let mut distinct: HashSet<(CellId, UserId)> = HashSet::new();
-        if let Some(mine) = protected.get(&user) {
-            for t in mine {
-                for r in t.records() {
-                    distinct.insert((grid.cell_of(&r.point), r.user));
-                }
-            }
-        }
-        let pairs: Vec<(CellId, UserId)> = distinct.into_iter().collect();
-        for &pair in &pairs {
-            let refs = pair_refs.entry(pair).or_insert(0);
-            *refs += 1;
-            if *refs == 1 {
-                *counts.entry(pair.0).or_insert(0) += 1;
-            }
-        }
-        by_user.insert(user, pairs);
-    }
-
-    /// Replaces `user`'s contribution to the traffic histograms. All counts
-    /// are integer-valued `f64` sums of `1.0`, so additions and the removal
-    /// subtractions are exact in any order; entries are pruned at exact
-    /// zero so key sets match what a fresh scan would produce.
-    fn fold_traffic(
-        protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-        grid: &UniformGrid,
-        user: UserId,
-        by_user: &mut BTreeMap<UserId, HashMap<(CellId, i64, i64), f64>>,
-        total: &mut HashMap<(CellId, i64), f64>,
-        by_day: &mut BTreeMap<i64, HashMap<(CellId, i64), f64>>,
-    ) {
-        if let Some(old) = by_user.remove(&user) {
-            for ((cell, hour, day), v) in old {
-                let key = (cell, hour);
-                if let Some(t) = total.get_mut(&key) {
-                    *t -= v;
-                    if *t == 0.0 {
-                        total.remove(&key);
-                    }
-                }
-                if let Some(day_map) = by_day.get_mut(&day) {
-                    if let Some(t) = day_map.get_mut(&key) {
-                        *t -= v;
-                        if *t == 0.0 {
-                            day_map.remove(&key);
-                        }
-                    }
-                    if day_map.is_empty() {
-                        by_day.remove(&day);
-                    }
-                }
-            }
-        }
-        let mut mine: HashMap<(CellId, i64, i64), f64> = HashMap::new();
-        if let Some(ts) = protected.get(&user) {
-            for t in ts {
-                for r in t.records() {
-                    let key = (
-                        grid.cell_of(&r.point),
-                        r.time.hour_of_day(),
-                        r.time.day_index(),
-                    );
-                    *mine.entry(key).or_insert(0.0) += 1.0;
-                }
-            }
-        }
-        for (&(cell, hour, day), &v) in &mine {
-            *total.entry((cell, hour)).or_insert(0.0) += v;
-            *by_day
-                .entry(day)
-                .or_default()
-                .entry((cell, hour))
-                .or_insert(0.0) += v;
-        }
-        by_user.insert(user, mine);
+        self.utility_for(context)
+            .expect("counts keyed on the context's baseline grid")
     }
 
     /// The protected-side training histogram for `eval_day`:
@@ -1515,44 +1555,69 @@ impl CandidateState {
     }
 }
 
-/// Re-anonymizes one user against a minimal view of the prefix: a
-/// [`UserLocality::UserLocal`] candidate sees only the user's own (shared)
-/// trajectories; a [`UserLocality::GridAnchored`] candidate sees them plus
-/// two synthetic single-record pins at the prefix bounding box's corners
-/// ([`pinned_view`]), so the view's box — the only dataset-global input the
-/// locality contract admits — equals the prefix box and the output is
-/// byte-identical to a full-prefix `anonymize_user` at `O(user records)`
-/// cost. Falls back to the full-prefix scan when the context carries no
-/// per-user decomposition or the pin id collides with a real participant.
-fn anonymize_one_user(
+/// The protected trajectories a utility fold adds: every user's whole
+/// output on a `rebuild`, otherwise just this window's `appended` ones.
+fn fold_input<'s>(
+    protected: &'s BTreeMap<UserId, Vec<Arc<Trajectory>>>,
+    appended: &'s [(UserId, Vec<Arc<Trajectory>>)],
+    rebuild: bool,
+) -> Box<dyn Iterator<Item = &'s Arc<Trajectory>> + 's> {
+    if rebuild {
+        Box::new(protected.values().flatten())
+    } else {
+        Box::new(appended.iter().flat_map(|(_, output)| output))
+    }
+}
+
+/// Anonymizes the tail of `user`'s history — the trajectories past the
+/// `cached` ones the candidate already holds output for — against a
+/// minimal view. Under the per-trajectory locality contract each output
+/// trajectory depends only on its input trajectory, the user, the seed
+/// and (for [`UserLocality::GridAnchored`]) the quantized anchor of the
+/// prefix bounding box, so the tail's output is exactly what a full-prefix
+/// `anonymize` appends for it:
+///
+/// * a [`UserLocality::UserLocal`] candidate sees only the tail;
+/// * a [`UserLocality::GridAnchored`] candidate sees the tail plus two
+///   synthetic single-record pins at the prefix bounding box's corners
+///   ([`pinned_view`]), so the view's box — the only dataset-global input
+///   the contract admits — equals the prefix box.
+///
+/// Falls back to a full-prefix `anonymize_user` (keeping the output past
+/// `cached`) when the pin id collides with a real participant or no box
+/// is known.
+fn anonymize_tail(
     strategy: &dyn AnonymizationStrategy,
     context: &EvalContext<'_>,
+    population: &SweepPopulation<'_>,
     user: UserId,
+    cached: usize,
     seed: u64,
 ) -> Vec<Arc<Trajectory>> {
-    let original = context.original();
-    let Some(by_user) = context.original_by_user() else {
-        return strategy.anonymize_user(original, user, seed);
+    let Some(tail) = population
+        .history(user)
+        .get(cached..)
+        .filter(|t| !t.is_empty())
+    else {
+        return Vec::new();
     };
-    if by_user.contains_key(&BBOX_PIN_USER) {
-        return strategy.anonymize_user(original, user, seed);
-    }
-    let mine = by_user.get(&user).cloned().unwrap_or_default();
-    match strategy.locality() {
-        UserLocality::UserLocal => {
-            let view = Dataset::from_shared(mine);
-            strategy.anonymize_user(&view, user, seed)
-        }
-        UserLocality::GridAnchored => {
-            let Some(bbox) = context.original_bbox().or_else(|| original.bounding_box()) else {
-                return strategy.anonymize_user(original, user, seed);
-            };
-            let view = pinned_view(mine, bbox);
-            strategy.anonymize_user(&view, user, seed)
-        }
-        // NonLocal never reaches the per-user path; keep the correct
-        // full-prefix fallback anyway.
-        UserLocality::NonLocal => strategy.anonymize_user(original, user, seed),
+    let tail = tail.to_vec();
+    let original = context.original();
+    let view = match strategy.locality() {
+        UserLocality::UserLocal => Some(Dataset::from_shared(tail)),
+        UserLocality::GridAnchored if population.history(BBOX_PIN_USER).is_empty() => context
+            .original_bbox()
+            .or_else(|| original.bounding_box())
+            .map(|bbox| pinned_view(tail, bbox)),
+        _ => None,
+    };
+    match view {
+        Some(view) => strategy.anonymize_user(&view, user, seed),
+        None => strategy
+            .anonymize_user(original, user, seed)
+            .into_iter()
+            .skip(cached)
+            .collect(),
     }
 }
 
@@ -1570,6 +1635,27 @@ fn pinned_view(mut mine: Vec<Arc<Trajectory>>, bbox: BoundingBox) -> Dataset {
     mine.push(pin(bbox.min()));
     mine.push(pin(bbox.max()));
     Dataset::from_shared(mine)
+}
+
+/// A mini-dataset over shared trajectory handles (empty for `None`).
+fn shared_dataset(trajectories: Option<&Vec<Arc<Trajectory>>>) -> Dataset {
+    Dataset::from_shared(trajectories.cloned().unwrap_or_default())
+}
+
+/// Extracts `user`'s shard from their whole `history` — the path for a new
+/// user, a moved grid, or a window the fold rejected — returning it with
+/// the number of records read.
+fn extract_history(
+    attack: &PoiAttack,
+    history: Option<&Vec<Arc<Trajectory>>>,
+    user: UserId,
+    grid: &UniformGrid,
+) -> (UserAttackShard, usize) {
+    let history = shared_dataset(history);
+    (
+        attack.extract_user(&history, user, grid),
+        history.record_count(),
+    )
 }
 
 /// Bounding box of one user's protected trajectories (`None` when they hold
@@ -1635,10 +1721,11 @@ impl StrategyDonor {
 /// incremental too, under the determinism contract each strategy declares
 /// through [`AnonymizationStrategy::locality`]:
 ///
-/// * [`UserLocality::UserLocal`] candidates refresh only the users with
-///   new records;
+/// * [`UserLocality::UserLocal`] candidates anonymize only the window's
+///   new trajectories and fold their output into the changed users'
+///   state;
 /// * [`UserLocality::GridAnchored`] candidates additionally refresh
-///   everyone when the prefix bounding box widens;
+///   everyone when the prefix's quantized anchor moves;
 /// * [`UserLocality::NonLocal`] candidates are never cached — every window
 ///   re-runs their full anonymize + self-attack, exactly as batch publish
 ///   would.
@@ -2206,6 +2293,153 @@ mod tests {
             assert_eq!(release.published.selection, batch.selection, "window {i}");
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
         }
+    }
+
+    /// A per-trajectory strategy that moves every record back by three
+    /// times its day index in days: day `d` lands on day `−2d`, so each
+    /// window's output precedes all the output before it.
+    struct Rewind;
+    impl crate::strategy::AnonymizationStrategy for Rewind {
+        fn info(&self) -> crate::strategy::StrategyInfo {
+            crate::strategy::StrategyInfo {
+                name: "rewind".into(),
+                params: String::new(),
+            }
+        }
+        fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
+            dataset.map_trajectories(|t| {
+                let records = t
+                    .records()
+                    .iter()
+                    .map(|r| {
+                        let back = 3 * r.time.day_index() * mobility::DAY_SECONDS;
+                        LocationRecord::new(
+                            r.user,
+                            Timestamp::new(r.time.seconds() - back),
+                            r.point,
+                        )
+                    })
+                    .collect();
+                Trajectory::new(t.user(), records)
+            })
+        }
+        fn locality(&self) -> UserLocality {
+            UserLocality::UserLocal
+        }
+    }
+
+    #[test]
+    fn out_of_order_protected_output_takes_the_full_extraction() {
+        use crate::pool::StrategyPool;
+        let ds = dataset(57, 3, 4);
+        let windows = WindowedDataset::partition(&ds);
+        let attack = PoiAttack::default();
+
+        // The fold itself refuses a window whose output precedes the shard.
+        let day0 = Rewind.anonymize(&windows.prefix(0), 0);
+        let day1 = Rewind.anonymize(windows.windows()[1].dataset(), 0);
+        let grid = attack.extraction_grid(&day0).unwrap();
+        let user = day0.users()[0];
+        let shard = attack.extract_user(&day0, user, &grid);
+        assert!(attack.fold_user(shard, &day1, &grid).is_none());
+
+        // Streaming still releases batch's bytes: every refused fold
+        // re-extracts the user's whole protected history.
+        let make = || {
+            PrivApi::new(PrivApiConfig {
+                privacy_floor: 1.0,
+                ..PrivApiConfig::default()
+            })
+            .with_pool(StrategyPool::new().with(Box::new(Rewind)))
+        };
+        let privapi = make();
+        let mut cache = SessionCache::new();
+        for (i, window) in windows.iter().enumerate() {
+            let release = privapi.publish_window(&mut cache, window).unwrap();
+            let batch = make().publish(&windows.prefix(i)).unwrap();
+            assert_eq!(release.published.selection, batch.selection, "window {i}");
+            assert_eq!(release.published.dataset, batch.dataset, "window {i}");
+            let candidate = &cache.strategies().last_deltas()[0];
+            assert!(!candidate.full_fallback, "window {i}");
+            assert_eq!(
+                candidate.records_anonymized,
+                window.dataset().record_count(),
+                "window {i}: only the window is anonymized"
+            );
+            assert_eq!(
+                candidate.records_extracted,
+                cache.prefix().record_count(),
+                "window {i}: every user's history is re-extracted"
+            );
+            // The cached shards are exactly a fresh self-attack's.
+            let protected = Rewind.anonymize(cache.prefix(), privapi.config().seed);
+            let cached = &cache.strategies().states[0].shards;
+            for shard in attack.extract_shards(&protected) {
+                assert_eq!(*cached[&shard.user], shard, "window {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn steady_window_work_tracks_the_window_not_the_prefix() {
+        // Three weeks with fixed participation: everyone on day 0, then
+        // exactly two of four users a day. A steady window must anonymize
+        // and extract its own records — once per candidate — whatever the
+        // day index, never the participants' accumulated histories.
+        let ds = dataset(71, 4, 21);
+        let records: Vec<LocationRecord> = ds
+            .iter_records()
+            .filter(|r| {
+                let day = r.time.day_index();
+                day == 0 || (r.user.0 as i64 - day).rem_euclid(4) < 2
+            })
+            .copied()
+            .collect();
+        let windows = WindowedDataset::partition(&Dataset::from_records(records));
+        assert_eq!(windows.len(), 21);
+        let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
+        let pool = publisher.privapi().pool().len();
+        let mut per_record: Vec<f64> = Vec::new();
+        for (i, window) in windows.iter().enumerate() {
+            let release = publisher.publish_window(window).unwrap();
+            if i == 0 {
+                continue;
+            }
+            let own = window.dataset().record_count();
+            assert_eq!(window.users().len(), 2, "window {i}");
+            assert!(
+                !release.delta.grid_rebuilt,
+                "window {i}: the day-0 box holds"
+            );
+            assert_eq!(release.delta.records_extracted, own, "window {i}");
+            assert_eq!(
+                release.strategies.records_anonymized,
+                own * pool,
+                "window {i}"
+            );
+            // Protected-side folds read the window's output; only a
+            // candidate whose protected grid moved re-extracts history.
+            let steady: usize = publisher
+                .cache()
+                .strategies()
+                .last_deltas()
+                .iter()
+                .filter(|c| !c.protected_grid_rebuilt)
+                .map(|c| c.records_extracted)
+                .sum();
+            assert!(
+                steady <= own * pool,
+                "window {i}: {steady} > {own} x {pool}"
+            );
+            per_record.push(steady as f64 / own as f64);
+        }
+        let third = per_record.len() / 3;
+        let first = per_record[..third].iter().sum::<f64>() / third as f64;
+        let last = per_record[per_record.len() - third..].iter().sum::<f64>() / third as f64;
+        assert!(
+            last <= 1.2 * first,
+            "per-record work grew: {first:.2} -> {last:.2}"
+        );
     }
 
     #[test]

@@ -429,3 +429,164 @@ proptest! {
         }
     }
 }
+
+/// Every mechanism the crate builds: the default pool, the evaluation grid,
+/// cloaking pinned to `anchor`, and each of those rebuilt from its
+/// broadcast [`StrategySpec`].
+fn contract_strategies(anchor: geo::BoundingBox) -> Vec<Box<dyn AnonymizationStrategy>> {
+    let mut all = StrategyPool::default_pool().into_candidates();
+    all.extend(StrategyPool::evaluation_grid().into_candidates());
+    all.push(Box::new(
+        SpatialCloaking::new(geo::Meters::new(300.0))
+            .unwrap()
+            .with_anchor(anchor),
+    ));
+    let rebuilt: Vec<Box<dyn AnonymizationStrategy>> = all
+        .iter()
+        .filter_map(|s| s.spec())
+        .map(|spec| spec.instantiate(Some(&anchor)).unwrap())
+        .collect();
+    all.extend(rebuilt);
+    all
+}
+
+/// Synthetic user id pinning a view's bounding box (never generated by
+/// [`small_dataset`]).
+const PIN: UserId = UserId(u64::MAX);
+
+/// `ds` plus two single-record [`PIN`] trajectories at `bbox`'s corners,
+/// so the view's bounding box is `bbox` whatever `ds` holds.
+fn pinned(ds: &Dataset, bbox: geo::BoundingBox) -> Dataset {
+    let mut view = ds.clone();
+    for corner in [bbox.min(), bbox.max()] {
+        view.push(Trajectory::new(
+            PIN,
+            vec![LocationRecord::new(PIN, Timestamp::new(0), corner)],
+        ));
+    }
+    view
+}
+
+/// `strategy`'s output for `ds` with the pin trajectories dropped.
+fn anonymized(
+    strategy: &dyn AnonymizationStrategy,
+    ds: &Dataset,
+    seed: u64,
+) -> Vec<std::sync::Arc<Trajectory>> {
+    strategy
+        .anonymize(ds, seed)
+        .into_shared()
+        .into_iter()
+        .filter(|t| t.user() != PIN)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The per-trajectory locality contract the streaming caches append
+    /// under: for every local strategy, anonymizing `prefix ++ window`
+    /// gives `anonymize(prefix)` on the prefix's trajectories and
+    /// `anonymize(window)` on the rest — with the bounding box pinned to
+    /// the combined one for grid-anchored strategies.
+    #[test]
+    fn local_strategies_anonymize_per_trajectory(
+        prefix in small_dataset(),
+        window in small_dataset(),
+        seed in any::<u64>(),
+    ) {
+        // The window is the next day's data.
+        let window: Dataset = window
+            .trajectories()
+            .iter()
+            .map(|t| {
+                let records = t
+                    .records()
+                    .iter()
+                    .map(|r| {
+                        LocationRecord::new(
+                            r.user,
+                            Timestamp::new(r.time.seconds() + mobility::DAY_SECONDS),
+                            r.point,
+                        )
+                    })
+                    .collect();
+                Trajectory::new(t.user(), records)
+            })
+            .collect();
+        let mut combined = prefix.clone();
+        for t in window.trajectories() {
+            combined.push_shared(t.clone());
+        }
+        let bbox = combined.bounding_box().unwrap();
+        for strategy in contract_strategies(bbox.grid_anchor()) {
+            let view = |ds: &Dataset| match strategy.locality() {
+                UserLocality::GridAnchored => pinned(ds, bbox),
+                _ => ds.clone(),
+            };
+            prop_assert!(strategy.locality() != UserLocality::NonLocal, "{}", strategy.info());
+            let whole = anonymized(strategy.as_ref(), &view(&combined), seed);
+            let head = anonymized(strategy.as_ref(), &view(&prefix), seed);
+            let tail = anonymized(strategy.as_ref(), &view(&window), seed);
+            let n = prefix.trajectory_count();
+            prop_assert_eq!(whole.len(), n + window.trajectory_count(), "{}", strategy.info());
+            prop_assert_eq!(&whole[..n], &head[..], "{}: prefix output moved", strategy.info());
+            prop_assert_eq!(&whole[n..], &tail[..], "{}: window output differs", strategy.info());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Folding a user's history window by window — split at random day
+    /// boundaries — gives a shard equal to one-shot extraction, on raw
+    /// and on noised data.
+    #[test]
+    fn shard_fold_equals_one_shot_extraction(
+        seed in any::<u64>(),
+        users in 1usize..3,
+        days in 2usize..5,
+        cuts in prop::collection::vec(any::<bool>(), 4..5),
+    ) {
+        use mobility::WindowedDataset;
+
+        let raw = mobility::gen::CityModel::builder()
+            .seed(seed ^ 0xF01D)
+            .build()
+            .generate_population(&mobility::gen::PopulationConfig {
+                users,
+                days,
+                sampling_interval_s: 300,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.4,
+            });
+        let windows = WindowedDataset::partition(&raw);
+        let raw = windows.prefix(windows.len() - 1);
+        let noisy = GeoIndistinguishability::new(0.01).unwrap().anonymize(&raw, seed);
+        let attack = PoiAttack::default();
+        for history in [raw, noisy] {
+            let grid = attack.extraction_grid(&history).unwrap();
+            // Day-major trajectories; a chunk closes after day d when
+            // cuts[d] is set (and always at the end).
+            let mut chunks: Vec<Dataset> = vec![Dataset::new()];
+            for (d, window) in windows.iter().enumerate() {
+                for t in history.trajectories() {
+                    if t.start_time().map(|s| s.day_index()) == Some(window.day()) {
+                        chunks.last_mut().unwrap().push_shared(t.clone());
+                    }
+                }
+                if cuts[d % cuts.len()] {
+                    chunks.push(Dataset::new());
+                }
+            }
+            for user in history.users() {
+                let mut shard = UserAttackShard::empty(user);
+                for chunk in &chunks {
+                    shard = attack.fold_user(shard, chunk, &grid).expect("days arrive in order");
+                }
+                prop_assert_eq!(&shard, &attack.extract_user(&history, user, &grid));
+            }
+        }
+    }
+}

@@ -78,6 +78,10 @@ pub enum Buckets {
     Bytes,
     /// Wall micro-durations in microseconds, 1 µs .. 10 s.
     WallMicros,
+    /// Work sizes in records, 1 .. 10 M — one sample per unit of work
+    /// (e.g. one candidate's window), so the sum is the total and the
+    /// bucket spread shows whether per-unit work grows.
+    Records,
 }
 
 impl Buckets {
@@ -97,6 +101,7 @@ impl Buckets {
                 1, 5, 10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000,
                 1_000_000, 5_000_000, 10_000_000,
             ],
+            Buckets::Records => &[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
         }
     }
 
@@ -106,6 +111,7 @@ impl Buckets {
             Buckets::LatencyMs => "latency_ms",
             Buckets::Bytes => "bytes",
             Buckets::WallMicros => "wall_us",
+            Buckets::Records => "records",
         }
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! Span parentage is tracked per thread (a thread-local stack of open
 //! span ids), so spans opened inside rayon workers simply root at the
-//! worker's own stack — cheap, lock-free on the hot path, and correct
-//! for the strictly scoped guards this codebase uses. Records are pushed
+//! worker's own stack (items a parallel map runs on its calling thread
+//! nest under the caller's open span) — cheap, lock-free on the hot path,
+//! and correct for the strictly scoped guards this codebase uses. Records are pushed
 //! under one short critical section on close; while recording is off the
 //! guard is inert and never touches the lock.
 
